@@ -103,4 +103,17 @@ Buchi ProjectLabels(const Buchi& ba, const Bitset& retained_pos,
   return out;
 }
 
+Buchi RenameEvents(const Buchi& ba, const std::vector<EventId>& to) {
+  Buchi out;
+  out.AddStates(ba.StateCount() - 1);  // Constructor already made state 0.
+  out.SetInitial(ba.initial());
+  for (StateId s = 0; s < ba.StateCount(); ++s) {
+    if (ba.IsFinal(s)) out.SetFinal(s);
+    for (const Transition& t : ba.Out(s)) {
+      out.AddTransition(s, t.label.RenameEvents(to), t.to);
+    }
+  }
+  return out;
+}
+
 }  // namespace ctdb::automata

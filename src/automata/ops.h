@@ -34,4 +34,8 @@ bool IsEmptyLanguage(const Buchi& ba);
 Buchi ProjectLabels(const Buchi& ba, const Bitset& retained_pos,
                     const Bitset& retained_neg);
 
+/// Rebuilds `ba` with every label's events renamed by `to`
+/// (Label::RenameEvents): the same automaton over another vocabulary's ids.
+Buchi RenameEvents(const Buchi& ba, const std::vector<EventId>& to);
+
 }  // namespace ctdb::automata

@@ -65,6 +65,13 @@ Label Label::ProjectOnto(const Bitset& retained_pos,
   return out;
 }
 
+Label Label::RenameEvents(const std::vector<EventId>& to) const {
+  Label out;
+  for (size_t e : pos_.Indices()) out.AddPositive(to[e]);
+  for (size_t e : neg_.Indices()) out.AddNegative(to[e]);
+  return out;
+}
+
 LiteralKey Label::Expansion(const Bitset& contract_events) const {
   LiteralKey key;
   for (size_t e : contract_events.Indices()) {

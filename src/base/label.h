@@ -85,6 +85,11 @@ class Label {
   /// masks), dropping all others.
   Label ProjectOnto(const Bitset& retained_pos, const Bitset& retained_neg) const;
 
+  /// The same literals with every event `e` renamed to `to[e]` (the
+  /// conversion between two vocabularies' ids for the same event names).
+  /// `to` must cover every cited event and be injective on them.
+  Label RenameEvents(const std::vector<EventId>& to) const;
+
   /// The expansion E(γ) of Section 4.2 / Example 11: this label's literals
   /// plus, for every event of `contract_events` not cited here, both the
   /// positive and the negative literal. Returned as a sorted literal-id list.

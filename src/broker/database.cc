@@ -91,10 +91,13 @@ Result<uint32_t> ContractDatabase::Register(std::string name,
                                             RegistrationStats* stats,
                                             uint64_t clock) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
+  // Parse (interning new events) and translate in a call-local factory; see
+  // RegisterFormulaLocked.
+  ltl::FormulaFactory factory;
   CTDB_ASSIGN_OR_RETURN(const ltl::Formula* spec,
-                        ltl::Parse(ltl_text, &factory_, &vocab_));
-  return RegisterFormulaLocked(std::move(name), spec, std::string(ltl_text),
-                               stats, clock);
+                        ltl::Parse(ltl_text, &factory, &vocab_));
+  return RegisterFormulaLocked(std::move(name), spec, &factory,
+                               std::string(ltl_text), stats, clock);
 }
 
 Result<uint32_t> ContractDatabase::RegisterFormula(std::string name,
@@ -103,13 +106,14 @@ Result<uint32_t> ContractDatabase::RegisterFormula(std::string name,
                                                    RegistrationStats* stats,
                                                    uint64_t clock) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  return RegisterFormulaLocked(std::move(name), spec, std::move(ltl_text),
-                               stats, clock);
+  ltl::FormulaFactory factory;  // `spec` is rebuilt into it by translation
+  return RegisterFormulaLocked(std::move(name), spec, &factory,
+                               std::move(ltl_text), stats, clock);
 }
 
 Result<uint32_t> ContractDatabase::RegisterFormulaLocked(
-    std::string name, const ltl::Formula* spec, std::string ltl_text,
-    RegistrationStats* stats, uint64_t clock) {
+    std::string name, const ltl::Formula* spec, ltl::FormulaFactory* factory,
+    std::string ltl_text, RegistrationStats* stats, uint64_t clock) {
   CTDB_OBS_SPAN(span, "register");
   RegistrationStats obs_stats;
   stats = StatsOrObsFallback(stats, &obs_stats);
@@ -117,10 +121,16 @@ Result<uint32_t> ContractDatabase::RegisterFormulaLocked(
   spec->CollectEvents(&events);
   if (ltl_text.empty()) ltl_text = spec->ToString(vocab_);
 
+  // `factory` is call-local, never the shared factory_: formula ids depend
+  // on what a factory already holds, and the tableau on formula ids, so a
+  // shared factory would make the automaton depend on earlier
+  // registrations. Every path (Register, Replace, RegisterBatch, recovery
+  // replay) translates a text in a fresh factory and builds the same
+  // automaton from it.
   Timer timer;
   CTDB_ASSIGN_OR_RETURN(
       automata::Buchi ba,
-      translate::LtlToBuchi(spec, &factory_, options_.translate));
+      translate::LtlToBuchi(spec, factory, options_.translate));
   if (stats != nullptr) stats->translate_ms = timer.ElapsedMillis();
   return RegisterAutomatonLocked(std::move(name), std::move(ltl_text),
                                  std::move(ba), std::move(events), stats,
@@ -236,15 +246,17 @@ Result<uint64_t> ContractDatabase::Replace(uint32_t id,
   CTDB_ASSIGN_OR_RETURN(const uint64_t at, ResolveClockLocked(clock));
 
   // Build the replacement fully before touching master state, so a parse or
-  // translation failure leaves the old version live and unobserved.
+  // translation failure leaves the old version live and unobserved. A
+  // call-local factory, as in RegisterFormulaLocked.
+  ltl::FormulaFactory factory;
   CTDB_ASSIGN_OR_RETURN(const ltl::Formula* spec,
-                        ltl::Parse(ltl_text, &factory_, &vocab_));
+                        ltl::Parse(ltl_text, &factory, &vocab_));
   Bitset events;
   spec->CollectEvents(&events);
   Timer timer;
   CTDB_ASSIGN_OR_RETURN(
       automata::Buchi ba,
-      translate::LtlToBuchi(spec, &factory_, options_.translate));
+      translate::LtlToBuchi(spec, &factory, options_.translate));
   if (stats != nullptr) stats->translate_ms = timer.ElapsedMillis();
   CTDB_RETURN_NOT_OK(ba.Validate());
 
@@ -395,15 +407,17 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
   // interned with its final id, and collect each contract's cited events.
   std::vector<Bitset> events(entries.size());
   for (size_t i = 0; i < entries.size(); ++i) {
+    ltl::FormulaFactory scratch;
     CTDB_ASSIGN_OR_RETURN(const ltl::Formula* spec,
-                          ltl::Parse(entries[i].ltl_text, &factory_, &vocab_));
+                          ltl::Parse(entries[i].ltl_text, &scratch, &vocab_));
     spec->CollectEvents(&events[i]);
   }
 
-  // Phase 2 (parallel): each worker re-parses into a thread-local factory
-  // (read-only against the master vocabulary — every event id is already
-  // fixed, and the vocabulary is stable under writer_mutex_), translates,
-  // and runs the expensive precomputations. No shared mutable state.
+  // Phase 2 (parallel): each entry re-parses into a fresh factory of its
+  // own (read-only against the master vocabulary — every event id is
+  // already fixed, and the vocabulary is stable under writer_mutex_),
+  // translates there, exactly as Register does, and runs the expensive
+  // precomputations. No shared mutable state.
   struct Built {
     Status status = Status::OK();
     std::unique_ptr<Contract> contract;
@@ -419,8 +433,8 @@ Result<std::vector<uint32_t>> ContractDatabase::RegisterBatch(
       workers <= 1 ? EnsurePool(options_.threads) : nullptr;
 
   auto build_range = [&](size_t start, size_t stride) {
-    ltl::FormulaFactory local_factory;
     for (size_t i = start; i < entries.size(); i += stride) {
+      ltl::FormulaFactory local_factory;
       auto spec = ltl::Parse(entries[i].ltl_text, &local_factory, vocab_);
       if (!spec.ok()) {
         built[i].status = spec.status();

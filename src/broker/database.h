@@ -189,6 +189,17 @@ class ContractDatabase {
       const std::vector<std::string>& queries,
       const QueryOptions& options = {}) const;
 
+  /// Evaluates `queries`, compiled in `snapshot`'s vocabulary ids, against
+  /// `snapshot` (one of this database's) on this database's executor:
+  /// DatabaseSnapshot::Evaluate with the pool that Query would use. The
+  /// sharded router's per-shard step.
+  Result<std::vector<QueryResult>> Evaluate(
+      const DatabaseSnapshot& snapshot, std::span<const CompiledQuery> queries,
+      const QueryOptions& options) const {
+    return snapshot.Evaluate(queries, options,
+                             EnsurePool(ResolveThreads(options.threads)));
+  }
+
   /// Live-contract count of the current snapshot.
   size_t size() const { return Snapshot()->size(); }
   /// Id slots ever allocated (ids are never reused; see
@@ -214,9 +225,10 @@ class ContractDatabase {
   /// published snapshot's); for a concurrency-safe view use
   /// Snapshot()->vocabulary().
   const Vocabulary& vocabulary() const { return vocab_; }
-  /// The shared formula factory used by registration. Writer-side: formulas
-  /// built here may be passed to RegisterFormula; the factory is not
-  /// thread-safe, so don't use it concurrently with writers.
+  /// A formula factory for building specifications to pass to
+  /// RegisterFormula (registration itself translates in call-local
+  /// factories). Writer-side: the factory is not thread-safe, so don't use
+  /// it concurrently with writers.
   ltl::FormulaFactory* factory() { return &factory_; }
 
   /// Writer-side view of the master prefilter index (may be ahead of the
@@ -256,8 +268,11 @@ class ContractDatabase {
 
  private:
   /// Registration bodies; the caller holds writer_mutex_.
+  /// Translates `spec` in `factory` (call-local, never factory_) and
+  /// registers the automaton.
   Result<uint32_t> RegisterFormulaLocked(std::string name,
                                          const ltl::Formula* spec,
+                                         ltl::FormulaFactory* factory,
                                          std::string ltl_text,
                                          RegistrationStats* stats,
                                          uint64_t clock);

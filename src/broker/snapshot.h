@@ -17,13 +17,21 @@
 // did not touch (copy-on-write, index/prefilter.h), and — when no event was
 // interned — the vocabulary.
 //
-// Queries parse and translate with a caller-local formula factory (never the
-// database's shared one) and resolve events read-only against the snapshot
+// A query runs in two steps. CompileQuery translates the parsed formula
+// (through a translation cache) and extracts its pruning condition; it
+// parses and translates with a caller-local formula factory (never the
+// database's shared one) and resolves events read-only against a
 // vocabulary, so the read path allocates no shared state at all.
+// DatabaseSnapshot::Evaluate then runs the compiled query against the
+// snapshot: prefilter lookup, permission checks, or the as-of full scan.
+// Query, QueryFormula and QueryBatch compose the two; the sharded router
+// compiles once and evaluates on every shard (shard/sharded.h).
 
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,7 +84,9 @@ struct DatabaseOptions {
   /// (translate/cache.h): repeated query structures skip the tableau
   /// pipeline entirely. 0 disables caching (every query translates afresh —
   /// the paper-faithful ablation baseline). Registration-side translations
-  /// never consult the cache; it serves the read path only.
+  /// never consult the cache; it serves the read path only. Under
+  /// shard::ShardedDatabase the router owns the one cache of this capacity
+  /// and the shards run without one.
   size_t translation_cache_capacity = 256;
 
   /// Default concurrency for the database's parallel phases (registration
@@ -136,6 +146,51 @@ struct QueryOptions {
   uint64_t as_of = 0;
 };
 
+/// \brief A query compiled once for evaluation: its translated automaton,
+/// pruning condition and cited events, all in one vocabulary's event ids.
+///
+/// DatabaseSnapshot::Evaluate runs it against any snapshot whose vocabulary
+/// gives the same ids. The sharded router compiles each query once and
+/// renames the ids for shards whose vocabulary numbers events differently.
+struct CompiledQuery {
+  std::shared_ptr<const automata::Buchi> automaton;
+  /// The pruning condition (§4); std::nullopt when evaluation will not
+  /// consult the prefilter, and then every contract is a candidate.
+  std::optional<index::Condition> condition;
+  Bitset events;  ///< automaton->CitedEvents(): selects the projection
+  /// What compiling cost: translate_ms, translate_cache_hit, the query
+  /// automaton's size, the condition extraction (prefilter_ms) and the
+  /// whole compile step (total_ms). Evaluate adds its own phases.
+  QueryStats stats;
+};
+
+/// How CompileQuery translates and whether it extracts a condition.
+struct CompileOptions {
+  translate::TranslateOptions translate;
+  /// Extract the pruning condition: false when no evaluation will use it
+  /// (prefilter disabled, or an as-of query that scans history).
+  bool condition = true;
+  index::PruningOptions pruning;
+};
+
+/// Translates `query` (any factory's formula; it is rebuilt into `factory`)
+/// through `cache` — nullptr or disabled translates afresh — and extracts
+/// its pruning condition when `options.condition` is set.
+Result<CompiledQuery> CompileQuery(const ltl::Formula* query,
+                                   ltl::FormulaFactory* factory,
+                                   translate::TranslationCache* cache,
+                                   const CompileOptions& options);
+
+/// Parses every text read-only against `vocab`, then compiles each as
+/// CompileQuery does. On a parse error nothing is compiled and the status
+/// names the query ("query 3: ..."). Each query parses into its own factory,
+/// so with `threads` > 1 the compiles run strided across `pool`'s workers
+/// sharing nothing but the (internally synchronized) cache.
+Result<std::vector<CompiledQuery>> CompileQueries(
+    const std::vector<std::string>& texts, const Vocabulary& vocab,
+    translate::TranslationCache* cache, const CompileOptions& options,
+    util::ThreadPool* pool, size_t threads);
+
 /// A query's outcome.
 struct QueryResult {
   std::vector<uint32_t> matches;  ///< ids of contracts permitting the query
@@ -156,9 +211,10 @@ class DatabaseSnapshot {
  public:
   DatabaseSnapshot() = default;
 
-  /// Evaluates an LTL query against this snapshot. Queries must cite only
-  /// events known to the snapshot (unknown events cannot be permitted by any
-  /// contract — they are an error, to catch typos early).
+  /// Evaluates an LTL query against this snapshot: parse, CompileQuery
+  /// (through the database's translation cache), Evaluate. Queries must
+  /// cite only events known to the snapshot (unknown events cannot be
+  /// permitted by any contract — they are an error, to catch typos early).
   ///
   /// `pool` is an optional executor for the parallel permission phase; with
   /// nullptr (or an effective thread count of 1) evaluation is single
@@ -174,30 +230,47 @@ class DatabaseSnapshot {
                                    const QueryOptions& options = {},
                                    util::ThreadPool* pool = nullptr) const;
 
-  /// \brief Evaluates many LTL queries in one call.
+  /// \brief Evaluates many LTL queries in one call: CompileQueries (in
+  /// parallel across queries when `threads` > 1), then one Evaluate.
   ///
   /// Returns one QueryResult per query, each identical (matches and
-  /// witnesses) to what Query would return for that text. Batching amortizes
-  /// executor dispatch across the whole batch and shares each contract's
-  /// lazy quotient cache across all queries: with `threads` > 1 the
-  /// translate/prefilter phase parallelizes across queries (each worker
-  /// parses into a thread-local factory) and the permission phase shards the
-  /// (query, candidate) pairs *by contract id*, so every contract — and thus
-  /// its quotient cache — is touched by exactly one worker while being
-  /// reused across all queries that prefilter to it. On any parse error, no
-  /// query is evaluated.
-  ///
-  /// Per-query stats are filled as in Query, except that in parallel mode
-  /// `permission_ms` is the CPU time spent on that query's checks (summed
-  /// across shards) and `total_ms` the sum of the per-phase times. In both
-  /// modes the invariant `total_ms >= translate_ms + prefilter_ms` holds:
-  /// serial total is the wall clock enclosing all three phases, parallel
-  /// total is exactly translate + prefilter + the summed permission CPU time
-  /// (so it can exceed the batch's wall clock, but never undercuts the two
-  /// serial phases). Guarded by a regression test in query_batch_test.
+  /// witnesses) to what Query would return for that text. On any parse
+  /// error, no query is evaluated. See Evaluate for how the batch shares
+  /// work and for the stats semantics.
   Result<std::vector<QueryResult>> QueryBatch(
       const std::vector<std::string>& queries, const QueryOptions& options = {},
       util::ThreadPool* pool = nullptr) const;
+
+  /// \brief Evaluates compiled queries against this snapshot — the one
+  /// evaluation step behind Query, QueryFormula, QueryBatch and the sharded
+  /// router.
+  ///
+  /// `queries` must be compiled in this snapshot's vocabulary ids. Latest
+  /// queries look their condition up in the prefilter and check the
+  /// candidates; an `as_of` clock before this snapshot's scans every
+  /// version visible then (serially: exactness, not speed, is that path's
+  /// contract). With `threads` > 1 the prefilter lookups run in parallel
+  /// across queries and the permission checks shard the (query, candidate)
+  /// pairs *by contract id*, so every contract — and thus its lazy quotient
+  /// cache — is touched by exactly one worker while being reused across all
+  /// queries that prefilter to it.
+  ///
+  /// Stats extend each query's compile stats. In parallel mode
+  /// `permission_ms` is the CPU time spent on that query's checks (summed
+  /// across workers) and `total_ms` the sum of the per-phase times; in
+  /// serial mode `total_ms` is the compile time plus the wall clock of the
+  /// evaluation. Either way `total_ms >= translate_ms + prefilter_ms`
+  /// (guarded by a regression test in query_batch_test). Evaluate does not
+  /// flush the stats to the metrics registry; its callers do, once per
+  /// logical query.
+  Result<std::vector<QueryResult>> Evaluate(
+      std::span<const CompiledQuery> queries, const QueryOptions& options,
+      util::ThreadPool* pool = nullptr) const;
+
+  /// The CompileOptions a query with `options` needs for this snapshot:
+  /// the database's translate options, and a condition only when the
+  /// evaluation will consult the prefilter.
+  CompileOptions CompileOptionsFor(const QueryOptions& options) const;
 
   /// Number of *live* contracts in this snapshot (unregistered ones leave
   /// holes — see slot_count()).
@@ -261,8 +334,14 @@ class DatabaseSnapshot {
   /// clamped to 1 when `pool` is null.
   size_t ResolveThreads(size_t requested, const util::ThreadPool* pool) const;
 
-  /// The query engine shared by Query/QueryFormula/QueryBatch-serial:
-  /// translate (into `factory`) → prefilter → permission checks.
+  /// True unless `as_of` names a clock before this snapshot's (then the
+  /// query is historical: a full scan over VisibleAt(as_of)).
+  bool AnswersLatest(uint64_t as_of) const {
+    return as_of == 0 || as_of >= clock_;
+  }
+
+  /// Query/QueryFormula: CompileQuery (into `factory`) → Evaluate, traced
+  /// as one "query" span and flushed to the metrics registry.
   Result<QueryResult> RunQuery(const ltl::Formula* query,
                                ltl::FormulaFactory* factory,
                                const QueryOptions& options,
@@ -275,12 +354,6 @@ class DatabaseSnapshot {
                       std::vector<uint32_t>* matches,
                       std::vector<LassoWord>* witnesses,
                       core::PermissionStats* stats) const;
-
-  /// The historical-query engine behind RunQuery when options.as_of names a
-  /// clock before this snapshot's: full scan over VisibleAt(as_of).
-  Result<QueryResult> RunQueryAsOf(const automata::Buchi& query_ba,
-                                   const QueryOptions& options,
-                                   QueryResult result, Timer* total) const;
 
   DatabaseOptions options_;
   std::shared_ptr<const Vocabulary> vocab_ = std::make_shared<Vocabulary>();

@@ -154,6 +154,16 @@ std::string Condition::ToString(const Vocabulary& vocab) const {
   return "?";
 }
 
+Condition Condition::RenameEvents(const std::vector<EventId>& to) const {
+  Condition out(kind_);
+  if (kind_ == Kind::kLeaf) out.label_ = label_.RenameEvents(to);
+  out.children_.reserve(children_.size());
+  for (const Condition& child : children_) {
+    out.children_.push_back(child.RenameEvents(to));
+  }
+  return out;
+}
+
 bool Condition::operator==(const Condition& other) const {
   if (kind_ != other.kind_) return false;
   if (kind_ == Kind::kLeaf) return label_ == other.label_;

@@ -42,6 +42,10 @@ class Condition {
   /// S'() over-approximation sound, §4.2).
   Bitset Evaluate(const PrefilterIndex& index) const;
 
+  /// The same tree with every leaf label's events renamed by `to`
+  /// (Label::RenameEvents). Renaming is injective, so the shape is kept.
+  Condition RenameEvents(const std::vector<EventId>& to) const;
+
   /// Number of nodes in the tree.
   size_t Size() const;
 

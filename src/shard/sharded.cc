@@ -4,6 +4,7 @@
 #include <thread>
 #include <utility>
 
+#include "automata/ops.h"
 #include "base/vocabulary.h"
 #include "broker/contract.h"
 #include "ltl/formula.h"
@@ -37,6 +38,100 @@ bool LooksLikeUnshardedData(const std::string& dir) {
     if (wal::ParseSegmentFileName(name, &index)) return true;
   }
   return false;
+}
+
+/// `bits` with every set bit `e` moved to `to[e]`.
+Bitset RenameBits(const Bitset& bits, const std::vector<EventId>& to) {
+  Bitset out;
+  for (size_t e : bits.Indices()) {
+    if (to[e] >= out.size()) out.Resize(to[e] + 1);
+    out.Set(to[e]);
+  }
+  return out;
+}
+
+/// \brief Converts event ids between the router's vocabulary (shard 0's
+/// snapshot, which the broadcast keeps the union) and one shard's.
+///
+/// Shards number events in the order they interned them, which diverges
+/// once RegisterBatch commits sub-batches in parallel or a shard recovers
+/// from its own log. Ids are matched by event name.
+class EventRenaming {
+ public:
+  /// Maps every event in `cited` (router ids). A name the shard has not
+  /// interned maps to an id past the shard's vocabulary, distinct per name
+  /// — an event no contract on that shard cites, which is exactly what the
+  /// name means there.
+  EventRenaming(const Vocabulary& router, const Vocabulary& shard,
+                const Bitset& cited)
+      : router_(router), shard_(shard), to_shard_(cited.size()) {
+    for (size_t e : cited.Indices()) {
+      auto id = shard.Find(router.Name(static_cast<EventId>(e)));
+      to_shard_[e] = id.ok() ? *id : static_cast<EventId>(shard.size() + e);
+      identity_ = identity_ && to_shard_[e] == e;
+    }
+  }
+
+  /// True when the shard gives every cited event the router's id: the
+  /// compiled queries can be evaluated there unchanged.
+  bool identity() const { return identity_; }
+
+  /// `query` in the shard's ids.
+  broker::CompiledQuery ToShard(const broker::CompiledQuery& query) const {
+    broker::CompiledQuery out;
+    out.automaton = std::make_shared<const automata::Buchi>(
+        automata::RenameEvents(*query.automaton, to_shard_));
+    if (query.condition.has_value()) {
+      out.condition = query.condition->RenameEvents(to_shard_);
+    }
+    out.events = RenameBits(query.events, to_shard_);
+    out.stats = query.stats;
+    return out;
+  }
+
+  /// Renames `word`, a witness in the shard's ids, into the router's. The
+  /// witness may cite any event of the matched contract, so this maps the
+  /// shard's whole vocabulary (built on first use). Events past it are the
+  /// unknown names ToShard invented; a shard event the router's snapshot
+  /// does not know yet (a registration racing its broadcast) gets an id
+  /// past the router's vocabulary.
+  void ToRouter(LassoWord* word) {
+    if (to_router_.empty()) {
+      const size_t widest = shard_.size() + to_shard_.size();
+      to_router_.resize(widest);
+      for (size_t s = 0; s < widest; ++s) {
+        if (s >= shard_.size()) {
+          to_router_[s] = static_cast<EventId>(s - shard_.size());
+          continue;
+        }
+        auto id = router_.Find(shard_.Name(static_cast<EventId>(s)));
+        to_router_[s] =
+            id.ok() ? *id : static_cast<EventId>(router_.size() + s);
+      }
+    }
+    for (Snapshot& snapshot : word->prefix) {
+      snapshot = RenameBits(snapshot, to_router_);
+    }
+    for (Snapshot& snapshot : word->cycle) {
+      snapshot = RenameBits(snapshot, to_router_);
+    }
+  }
+
+ private:
+  const Vocabulary& router_;
+  const Vocabulary& shard_;
+  std::vector<EventId> to_shard_;   ///< indexed by router id
+  std::vector<EventId> to_router_;  ///< indexed by shard id, lazily built
+  bool identity_ = true;
+};
+
+/// True when `shard` numbers every event it knows as `router` does, so its
+/// witnesses need no renaming.
+bool SameIds(const Vocabulary& router, const Vocabulary& shard) {
+  return &router == &shard ||
+         (shard.size() <= router.size() &&
+          std::equal(shard.names().begin(), shard.names().end(),
+                     router.names().begin()));
 }
 
 }  // namespace
@@ -82,6 +177,9 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
   const size_t n = manifest.shards;
   broker::DatabaseOptions shard_options = options;
   shard_options.shards = 1;  // each shard is a plain DurableDatabase
+  // The router compiles every query once, through the only translation
+  // cache (see Query); shard-level caches would sit unused.
+  shard_options.translation_cache_capacity = 0;
 
   // Router pool: one participant per shard up to the hardware, remembering
   // that the calling thread claims iterations too.
@@ -146,18 +244,21 @@ Result<std::unique_ptr<ShardedDatabase>> ShardedDatabase::Open(
   }
   stats.wall_ms = open_timer.ElapsedMillis();
 
-  return std::unique_ptr<ShardedDatabase>(new ShardedDatabase(
-      std::move(dir), std::move(shards), std::move(pool), std::move(stats)));
+  return std::unique_ptr<ShardedDatabase>(
+      new ShardedDatabase(std::move(dir), options, std::move(shards),
+                          std::move(pool), std::move(stats)));
 }
 
 ShardedDatabase::ShardedDatabase(
-    std::string dir,
+    std::string dir, const broker::DatabaseOptions& options,
     std::vector<std::unique_ptr<broker::DurableDatabase>> shards,
     std::unique_ptr<util::ThreadPool> pool, ShardedRecoveryStats recovery_stats)
     : dir_(std::move(dir)),
       shards_(std::move(shards)),
       pool_(std::move(pool)),
-      recovery_stats_(std::move(recovery_stats)) {
+      recovery_stats_(std::move(recovery_stats)),
+      translation_cache_(std::make_unique<translate::TranslationCache>(
+          options.translation_cache_capacity)) {
   slots_.resize(shards_.size());
   for (size_t k = 0; k < shards_.size(); ++k) {
     slots_[k] = shards_[k]->slot_count();
@@ -408,11 +509,42 @@ Result<uint64_t> ShardedDatabase::Replace(uint32_t id,
   return at;
 }
 
+std::vector<std::shared_ptr<const broker::DatabaseSnapshot>>
+ShardedDatabase::PinSnapshots() const {
+  std::vector<std::shared_ptr<const broker::DatabaseSnapshot>> snapshots;
+  snapshots.reserve(shards_.size());
+  for (const auto& shard : shards_) snapshots.push_back(shard->Snapshot());
+  return snapshots;
+}
+
+broker::CompileOptions ShardedDatabase::CompileOptionsFor(
+    const Snapshots& snapshots, const broker::QueryOptions& options) {
+  // Extract the condition when any shard will consult its prefilter (an
+  // as_of clock can be history on one shard and latest on another).
+  broker::CompileOptions compile = snapshots[0]->CompileOptionsFor(options);
+  for (const auto& snapshot : snapshots) {
+    compile.condition =
+        compile.condition || snapshot->CompileOptionsFor(options).condition;
+  }
+  return compile;
+}
+
 Result<broker::QueryResult> ShardedDatabase::Query(
     std::string_view ltl_text, const broker::QueryOptions& options) const {
-  const std::string query(ltl_text);
+  CTDB_RETURN_NOT_OK(CheckOpen());
+  Timer wall;
+  const Snapshots snapshots = PinSnapshots();
+  ltl::FormulaFactory factory;
+  CTDB_ASSIGN_OR_RETURN(
+      const ltl::Formula* formula,
+      ltl::Parse(ltl_text, &factory, snapshots[0]->vocabulary()));
+  std::vector<broker::CompiledQuery> compiled(1);
+  CTDB_ASSIGN_OR_RETURN(
+      compiled[0],
+      broker::CompileQuery(formula, &factory, translation_cache_.get(),
+                           CompileOptionsFor(snapshots, options)));
   CTDB_ASSIGN_OR_RETURN(std::vector<broker::QueryResult> results,
-                        QueryBatch({query}, options));
+                        Scatter(compiled, snapshots, options, wall));
   return std::move(results[0]);
 }
 
@@ -420,15 +552,53 @@ Result<std::vector<broker::QueryResult>> ShardedDatabase::QueryBatch(
     const std::vector<std::string>& queries,
     const broker::QueryOptions& options) const {
   CTDB_RETURN_NOT_OK(CheckOpen());
-  const size_t n = shards_.size();
   Timer wall;
+  const Snapshots snapshots = PinSnapshots();
+  CTDB_ASSIGN_OR_RETURN(
+      const std::vector<broker::CompiledQuery> compiled,
+      broker::CompileQueries(queries, snapshots[0]->vocabulary(),
+                             translation_cache_.get(),
+                             CompileOptionsFor(snapshots, options),
+                             pool_.get(),
+                             pool_ ? pool_->thread_count() + 1 : 1));
+  return Scatter(compiled, snapshots, options, wall);
+}
 
-  // Scatter: every shard evaluates the whole batch against one of its
-  // snapshots.
+Result<std::vector<broker::QueryResult>> ShardedDatabase::Scatter(
+    const std::vector<broker::CompiledQuery>& compiled,
+    const Snapshots& snapshots, const broker::QueryOptions& options,
+    const Timer& wall) const {
+  const size_t n = shards_.size();
+  const Vocabulary& vocab = snapshots[0]->vocabulary();
+  Bitset cited;
+  for (const broker::CompiledQuery& query : compiled) cited |= query.events;
+
+  // Scatter: every shard evaluates the whole batch against its pinned
+  // snapshot, in its own event ids.
   std::vector<Result<std::vector<broker::QueryResult>>> per_shard(
       n, Status::Internal("shard not reached"));
   auto run_one = [&](size_t k) {
-    per_shard[k] = shards_[k]->QueryBatch(queries, options);
+    const broker::DatabaseSnapshot& snapshot = *snapshots[k];
+    const broker::ContractDatabase& db = shards_[k]->database();
+    EventRenaming renaming(vocab, snapshot.vocabulary(), cited);
+    if (renaming.identity()) {
+      per_shard[k] = db.Evaluate(snapshot, compiled, options);
+    } else {
+      std::vector<broker::CompiledQuery> local;
+      local.reserve(compiled.size());
+      for (const auto& query : compiled) {
+        local.push_back(renaming.ToShard(query));
+      }
+      per_shard[k] = db.Evaluate(snapshot, local, options);
+    }
+    if (per_shard[k].ok() && options.collect_witnesses &&
+        !SameIds(vocab, snapshot.vocabulary())) {
+      for (broker::QueryResult& result : *per_shard[k]) {
+        for (LassoWord& witness : result.witnesses) {
+          renaming.ToRouter(&witness);
+        }
+      }
+    }
     return Status::OK();  // errors merge below, in shard order
   };
   if (pool_ && n > 1) {
@@ -437,15 +607,13 @@ Result<std::vector<broker::QueryResult>> ShardedDatabase::QueryBatch(
     for (size_t k = 0; k < n; ++k) (void)run_one(k);
   }
   for (size_t k = 0; k < n; ++k) {
-    // Parse / unknown-event errors are identical across shards (the
-    // vocabularies are kept in sync); report shard 0's wording.
     CTDB_RETURN_NOT_OK(per_shard[k].status());
   }
   const double wall_ms = wall.ElapsedMillis();
 
   // Gather: merge each query's shard results by ascending global id.
-  std::vector<broker::QueryResult> merged(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
+  std::vector<broker::QueryResult> merged(compiled.size());
+  for (size_t q = 0; q < compiled.size(); ++q) {
     broker::QueryResult& out = merged[q];
     // k-way merge by global id; shard streams are already sorted by local
     // id, and global = local * n + k preserves that order within a shard.
@@ -475,23 +643,25 @@ Result<std::vector<broker::QueryResult>> ShardedDatabase::QueryBatch(
       }
       cursor[best] += 1;
     }
-    // Stats: sizes and counts sum; the parallel phases (translate,
-    // prefilter) cost their slowest shard; permission is summed CPU time;
-    // total is the scatter-gather wall clock for the whole batch.
+    // Stats: translation (and condition extraction) ran once, here, so they
+    // are the router's compile stats; sizes and counts sum; the prefilter
+    // lookups ran in parallel and cost their slowest shard; permission is
+    // summed CPU time; total is the router's wall clock for the call.
+    broker::QueryStats& m = out.stats;
+    m = compiled[q].stats;
     for (size_t k = 0; k < n; ++k) {
       const broker::QueryStats& s = (*per_shard[k])[q].stats;
-      broker::QueryStats& m = out.stats;
       m.database_size += s.database_size;
       m.candidates += s.candidates;
       m.matches += s.matches;
-      m.translate_ms = std::max(m.translate_ms, s.translate_ms);
       m.prefilter_ms = std::max(m.prefilter_ms, s.prefilter_ms);
       m.permission_ms += s.permission_ms;
-      m.translate_cache_hit = m.translate_cache_hit || s.translate_cache_hit;
+      m.permission.MergeFrom(s.permission);
     }
-    out.stats.total_ms = wall_ms;
+    m.total_ms = wall_ms;
+    broker::RecordQueryStats(m);
   }
-  CTDB_OBS_COUNT("shard.queries", queries.size());
+  CTDB_OBS_COUNT("shard.queries", compiled.size());
   return merged;
 }
 

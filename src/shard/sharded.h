@@ -42,13 +42,23 @@
 // one event namespace), so the router keeps every shard's vocabulary a
 // superset of the union: Register broadcasts the new contract's cited
 // events to the other shards (DurableDatabase::InternEvent — deliberately
-// not WAL-logged), and Open re-broadcasts the union after recovery. A query
-// unknown to one shard is therefore unknown to all, and error parity with
-// an unsharded database holds (NotFound for typo'd events).
+// not WAL-logged), and Open re-broadcasts the union after recovery. The
+// router parses queries against shard 0's vocabulary, which is therefore
+// the union, and error parity with an unsharded database holds (NotFound
+// for typo'd events). The shards agree on names, not on ids: a shard
+// numbers events in the order it interned them, which diverges once
+// RegisterBatch commits sub-batches in parallel or a shard recovers from
+// its own log.
 //
-// Queries scatter to every shard (each evaluates against its own contracts,
-// translation caches and all) and gather: matches are re-mapped to global
-// ids and merged in ascending id order with their witnesses; stats merge as
+// Queries are compiled once, at the router: one parse, one translation
+// through the router's translation cache (the only one — shards run with
+// capacity 0), one pruning-condition extraction. The compiled query
+// (automaton, condition, cited events) then scatters to every shard's
+// pinned snapshot, renamed into that shard's event ids by name when they
+// differ from the router's, and each shard runs only the prefilter lookup
+// and the permission checks (DatabaseSnapshot::Evaluate). The gather
+// re-maps matches to global ids, merges them in ascending id order with
+// their witnesses (renamed back into the router's ids), and merges stats as
 // documented on Query below.
 //
 // Topology. The root directory carries a MANIFEST (shard/manifest.h)
@@ -72,7 +82,9 @@
 #include "broker/durable.h"
 #include "shard/manifest.h"
 #include "util/result.h"
+#include "translate/cache.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 #include "wal/wal.h"
 
 namespace ctdb::obs {
@@ -144,20 +156,27 @@ class ShardedDatabase : public broker::Broker {
   Result<uint64_t> Replace(uint32_t id, std::string_view ltl_text,
                            broker::RegistrationStats* stats = nullptr) override;
 
-  /// Evaluates the query on every shard in parallel and merges: matches
-  /// (and their witnesses) re-mapped to global ids, ascending; candidate /
-  /// match / database-size counts summed; translate_ms and prefilter_ms the
-  /// max across shards (they run in parallel); permission_ms the sum (CPU
-  /// view); total_ms the scatter-gather wall time. Error parity: an error
-  /// (parse failure, unknown event) is returned as the lowest-numbered
-  /// shard's status — the broadcast vocabulary makes all shards agree.
+  /// Compiles the query once at the router (parse against shard 0's
+  /// vocabulary, translate through the router's cache, extract the pruning
+  /// condition), evaluates it on every shard's pinned snapshot in parallel,
+  /// and merges: matches (and their witnesses, in the router's event ids)
+  /// re-mapped to global ids, ascending; candidate / match / database-size
+  /// counts summed; translate_ms, translate_cache_hit and the query
+  /// automaton's size are the router's, measured once; prefilter_ms the
+  /// router's condition extraction plus the slowest shard's lookup;
+  /// permission_ms the sum over shards (CPU view); total_ms the router's
+  /// wall time. Error parity: a parse failure or unknown event is the
+  /// router's, with the unsharded wording; an evaluation error (as_of below
+  /// the retention floor) is the lowest-numbered shard's status.
   Result<broker::QueryResult> Query(
       std::string_view ltl_text,
       const broker::QueryOptions& options = {}) const override;
 
-  /// QueryBatch with the same scatter-gather and merge semantics as Query,
-  /// applied per query; each shard evaluates the whole batch against one of
-  /// its snapshots.
+  /// QueryBatch with the same compile-once, scatter-gather and merge
+  /// semantics as Query, applied per query: the router compiles the batch
+  /// in parallel on its pool (one translation per distinct query, through
+  /// its cache) and each shard evaluates the whole batch against one of its
+  /// snapshots.
   Result<std::vector<broker::QueryResult>> QueryBatch(
       const std::vector<std::string>& queries,
       const broker::QueryOptions& options = {}) const override;
@@ -219,10 +238,29 @@ class ShardedDatabase : public broker::Broker {
   /// @}
 
  private:
-  ShardedDatabase(std::string dir,
+  using Snapshots =
+      std::vector<std::shared_ptr<const broker::DatabaseSnapshot>>;
+
+  ShardedDatabase(std::string dir, const broker::DatabaseOptions& options,
                   std::vector<std::unique_ptr<broker::DurableDatabase>> shards,
                   std::unique_ptr<util::ThreadPool> pool,
                   ShardedRecoveryStats recovery_stats);
+
+  /// Every shard's current snapshot: what one scatter evaluates against.
+  Snapshots PinSnapshots() const;
+
+  /// The compile options every shard agrees on: a pruning condition when
+  /// any shard will consult its prefilter.
+  static broker::CompileOptions CompileOptionsFor(
+      const Snapshots& snapshots, const broker::QueryOptions& options);
+
+  /// Evaluates `compiled` (in shard 0's event ids) on every shard of
+  /// `snapshots` and gathers, as documented on Query. `wall` started when
+  /// the router call did.
+  Result<std::vector<broker::QueryResult>> Scatter(
+      const std::vector<broker::CompiledQuery>& compiled,
+      const Snapshots& snapshots, const broker::QueryOptions& options,
+      const Timer& wall) const;
 
   /// Global id the next registration on shard `k` would get.
   uint64_t NextGlobalIdOf(size_t k) const {
@@ -258,6 +296,11 @@ class ShardedDatabase : public broker::Broker {
   uint64_t clock_ = 0;           ///< global system-period clock
 
   std::atomic<bool> closed_{false};
+
+  /// The only query-translation cache (capacity
+  /// DatabaseOptions::translation_cache_capacity): every query is
+  /// translated here, once, never on the shards.
+  std::unique_ptr<translate::TranslationCache> translation_cache_;
 
   /// Per-shard "shard.<k>.registrations" counters plus the aggregate
   /// handles, resolved once at Open (the CTDB_OBS_* macros cache per-site,

@@ -92,14 +92,20 @@ TEST(ShardedConcurrencyTest, ReadersWritersAndCheckpointersInterleave) {
   });
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
+    readers.emplace_back([&, r] {
+      for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
         auto result = db->Query("F pay");
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         // Snapshot isolation per shard: a result never exceeds the total.
         ASSERT_LE(result->matches.size(), db->size());
         queries_ok.fetch_add(1, std::memory_order_relaxed);
-        auto batch = db->QueryBatch({"F pay", "pay U deliver"});
+        // Texts the router's translation cache has not seen yet: readers
+        // miss, translate and insert concurrently, and hit each other's
+        // entries.
+        std::string cold = "F (pay & ";
+        for (int x = 0; x < (r * 5 + i) % 16; ++x) cold += "X ";
+        cold += "deliver)";
+        auto batch = db->QueryBatch({"F pay", "pay U deliver", cold});
         ASSERT_TRUE(batch.ok()) << batch.status().ToString();
       }
     });

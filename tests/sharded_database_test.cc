@@ -13,11 +13,15 @@
 #include <string>
 #include <vector>
 
+#include "automata/word.h"
 #include "broker/database.h"
 #include "broker/durable.h"
+#include "ltl/parser.h"
+#include "obs/metrics.h"
 #include "shard/manifest.h"
 #include "testing/temp_dir.h"
 #include "testing/universe.h"
+#include "translate/ltl_to_ba.h"
 #include "util/file_util.h"
 #include "wal/wal.h"
 
@@ -81,13 +85,51 @@ void MirrorRegistrations(const broker::ContractDatabase& oracle,
   }
 }
 
+/// `word`, in `from`'s event ids, renamed into `to`'s ids by event name.
+LassoWord RenameWitness(const LassoWord& word, const Vocabulary& from,
+                        const Vocabulary& to) {
+  auto rename = [&](const Snapshot& snapshot) {
+    Snapshot out(to.size());
+    for (size_t e : snapshot.Indices()) {
+      EXPECT_LT(e, from.size()) << "witness cites an event the router lacks";
+      if (e >= from.size()) continue;
+      auto id = to.Find(from.Name(static_cast<EventId>(e)));
+      EXPECT_TRUE(id.ok()) << from.Name(static_cast<EventId>(e));
+      if (id.ok()) out.Set(*id);
+    }
+    return out;
+  };
+  LassoWord out;
+  for (const Snapshot& s : word.prefix) out.prefix.push_back(rename(s));
+  for (const Snapshot& s : word.cycle) out.cycle.push_back(rename(s));
+  return out;
+}
+
+/// True when some shard numbers its events differently from shard 0 (the
+/// router's vocabulary), so queries and witnesses must be renamed.
+bool ShardIdsDiverge(const ShardedDatabase& sharded) {
+  const auto router = sharded.shard(0).Snapshot();
+  for (size_t k = 1; k < sharded.shard_count(); ++k) {
+    const auto shard = sharded.shard(k).Snapshot();
+    for (EventId e = 0; e < shard->vocabulary().size(); ++e) {
+      auto id = router->vocabulary().Find(shard->vocabulary().Name(e));
+      if (!id.ok() || *id != e) return true;
+    }
+  }
+  return false;
+}
+
 void ExpectQueryParity(const broker::ContractDatabase& oracle,
                        const ShardedDatabase& sharded,
                        const std::vector<std::string>& queries) {
   broker::QueryOptions with_witnesses;
   with_witnesses.collect_witnesses = true;
+  const auto oracle_snapshot = oracle.Snapshot();
+  const Vocabulary& oracle_vocab = oracle_snapshot->vocabulary();
   for (const std::string& query : queries) {
     auto want = oracle.Query(query, with_witnesses);
+    // Witnesses come back in the router's event ids: shard 0's vocabulary.
+    const auto router = sharded.shard(0).Snapshot();
     auto got = sharded.Query(query, with_witnesses);
     ASSERT_EQ(want.ok(), got.ok()) << query;
     if (!want.ok()) {
@@ -95,11 +137,25 @@ void ExpectQueryParity(const broker::ContractDatabase& oracle,
       continue;
     }
     EXPECT_EQ(got->matches, want->matches) << query;
-    // Witnesses stay aligned with their matches through the k-way merge;
-    // each is a concrete run of the matched contract, so non-degenerate.
+    // Witnesses stay aligned with their matches through the k-way merge,
+    // and each, renamed into the oracle's ids by event name, is a run the
+    // matched contract allows and the query accepts.
     ASSERT_EQ(got->witnesses.size(), got->matches.size());
-    for (const LassoWord& w : got->witnesses) {
-      EXPECT_FALSE(w.cycle.empty());
+    ltl::FormulaFactory factory;
+    auto formula = ltl::Parse(query, &factory, oracle_vocab);
+    ASSERT_TRUE(formula.ok()) << formula.status();
+    auto query_ba = translate::LtlToBuchi(*formula, &factory);
+    ASSERT_TRUE(query_ba.ok()) << query_ba.status();
+    for (size_t i = 0; i < got->witnesses.size(); ++i) {
+      const LassoWord word = RenameWitness(
+          got->witnesses[i], router->vocabulary(), oracle_vocab);
+      ASSERT_FALSE(word.cycle.empty());
+      EXPECT_TRUE(automata::AcceptsWord(
+          oracle_snapshot->contract(got->matches[i]).automaton(), word))
+          << query << ": contract " << got->matches[i] << " rejects "
+          << word.ToString(oracle_vocab);
+      EXPECT_TRUE(automata::AcceptsWord(*query_ba, word))
+          << query << ": query rejects " << word.ToString(oracle_vocab);
     }
     // Per-contract statistics are partition-insensitive: every contract is
     // examined exactly once, on exactly one shard.
@@ -296,6 +352,150 @@ TEST(ShardedDatabaseTest, RecoveryPreservesParityAndVocabulary) {
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   EXPECT_EQ(*next, universe.oracle->size());
 }
+
+/// The oracle's contracts as RegisterBatch entries, in id order.
+std::vector<broker::ContractDatabase::BatchEntry> BatchOf(
+    const broker::ContractDatabase& oracle) {
+  std::vector<broker::ContractDatabase::BatchEntry> entries;
+  for (uint32_t id = 0; id < oracle.size(); ++id) {
+    const broker::Contract& c = oracle.contract(id);
+    entries.push_back({c.name, c.ltl_text});
+  }
+  return entries;
+}
+
+TEST(ShardedDatabaseTest, WitnessesUseRouterIdsWhenShardVocabulariesDiverge) {
+  const Universe universe = MakeUniverse(/*contracts=*/16, /*seed=*/0xd1e5);
+  TempDir dir("sharded");
+  {
+    auto db =
+        ShardedDatabase::Open(dir.path(), FastOptions(), ShardOptions(4));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    // Sub-batches commit in parallel, each shard interning its own
+    // contracts' events first.
+    ASSERT_TRUE((*db)->RegisterBatch(BatchOf(*universe.oracle)).ok());
+    ASSERT_TRUE(ShardIdsDiverge(**db));
+    ExpectQueryParity(*universe.oracle, **db, universe.queries);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  // Each shard recovers from its own log, then learns the others' events.
+  auto db = ShardedDatabase::Open(dir.path(), FastOptions(), ShardOptions(0));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(ShardIdsDiverge(**db));
+  ExpectQueryParity(*universe.oracle, **db, universe.queries);
+
+  // Unknown events stay an error at the router.
+  auto unknown = (*db)->Query("F no_such_event");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  auto unknown_batch = (*db)->QueryBatch({"F p1", "G no_such_event"});
+  ASSERT_FALSE(unknown_batch.ok());
+  EXPECT_EQ(unknown_batch.status().code(), StatusCode::kNotFound);
+}
+
+TEST(ShardedDatabaseTest, AsOfMatchesOracleAfterReopenReordersIds) {
+  const Universe universe = MakeUniverse(/*contracts=*/12, /*seed=*/0xa50f);
+  // The oracle takes the same mutations as the sharded side, so both
+  // assign the same clocks.
+  broker::ContractDatabase oracle;
+  const auto entries = BatchOf(*universe.oracle);
+  ASSERT_TRUE(oracle.RegisterBatch(entries).ok());
+  TempDir dir("sharded");
+  {
+    auto db =
+        ShardedDatabase::Open(dir.path(), FastOptions(), ShardOptions(4));
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    ASSERT_TRUE((*db)->RegisterBatch(entries).ok());
+    for (uint32_t id = 0; id < entries.size(); id += 3) {
+      const std::string& text = entries[(id + 5) % entries.size()].ltl_text;
+      ASSERT_TRUE((*db)->Replace(id, text).ok());
+      ASSERT_TRUE(oracle.Replace(id, text).ok());
+    }
+    for (uint32_t id = 1; id < entries.size(); id += 4) {
+      ASSERT_TRUE((*db)->Unregister(id).ok());
+      ASSERT_TRUE(oracle.Unregister(id).ok());
+    }
+    ASSERT_EQ((*db)->last_sequence(), oracle.last_sequence());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = ShardedDatabase::Open(dir.path(), FastOptions(), ShardOptions(0));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE(ShardIdsDiverge(**db));
+  for (uint64_t clock = 1; clock <= oracle.last_sequence(); ++clock) {
+    broker::QueryOptions options;
+    options.as_of = clock;
+    for (const std::string& query : universe.queries) {
+      auto want = oracle.Query(query, options);
+      auto got = (*db)->Query(query, options);
+      ASSERT_EQ(want.ok(), got.ok()) << query << " as of " << clock;
+      if (!want.ok()) continue;
+      EXPECT_EQ(got->matches, want->matches) << query << " as of " << clock;
+    }
+    auto want = oracle.QueryBatch(universe.queries, options);
+    auto got = (*db)->QueryBatch(universe.queries, options);
+    ASSERT_EQ(want.ok(), got.ok()) << "batch as of " << clock;
+    if (!want.ok()) continue;
+    for (size_t q = 0; q < want->size(); ++q) {
+      EXPECT_EQ((*got)[q].matches, (*want)[q].matches)
+          << universe.queries[q] << " batched as of " << clock;
+    }
+  }
+}
+
+#if CTDB_OBS
+/// Counter value now, in the process-wide registry.
+uint64_t Counter(std::string_view name) {
+  return obs::MetricsRegistry::Default()->Snapshot().CounterValue(name);
+}
+
+TEST(ShardedDatabaseTest, RouterTranslatesEachQueryOnce) {
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const Universe universe = MakeUniverse(/*contracts=*/12, /*seed=*/0x0c1d);
+  TempDir dir("sharded");
+  auto db = ShardedDatabase::Open(dir.path(), FastOptions(), ShardOptions(4));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ASSERT_TRUE((*db)->RegisterBatch(BatchOf(*universe.oracle)).ok());
+  ASSERT_TRUE(ShardIdsDiverge(**db));
+  // Two events the contracts cite; the queries below are new texts.
+  const std::vector<std::string> names =
+      (*db)->shard(0).Snapshot()->vocabulary().names();
+  ASSERT_GE(names.size(), 2u);
+  const std::string& a = names[0];
+  const std::string& b = names[1];
+
+  // A cold query translates once, at the router, not once per shard; a
+  // repeat hits the router's cache.
+  const std::string query = "G (" + a + " -> F " + b + ")";
+  uint64_t before = Counter("translate.count");
+  auto cold = (*db)->Query(query);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_FALSE(cold->stats.translate_cache_hit);
+  EXPECT_EQ(Counter("translate.count") - before, 1u);
+  before = Counter("translate.count");
+  auto warm = (*db)->Query(query);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(warm->stats.translate_cache_hit);
+  EXPECT_EQ(Counter("translate.count") - before, 0u);
+  EXPECT_EQ(warm->matches, cold->matches);
+
+  // A cold batch of k distinct queries translates k times.
+  const std::vector<std::string> batch = {
+      "F (" + a + " & X " + b + ")", "G (" + b + " -> X " + a + ")",
+      a + " U (" + b + " & F " + a + ")", "F G " + b,
+      "G F (" + a + " | " + b + ")"};
+  before = Counter("translate.count");
+  auto results = (*db)->QueryBatch(batch);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_EQ(Counter("translate.count") - before, batch.size());
+  for (size_t q = 0; q < batch.size(); ++q) {
+    auto want = universe.oracle->Query(batch[q]);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ((*results)[q].matches, want->matches) << batch[q];
+  }
+  obs::SetEnabled(was_enabled);
+}
+#endif  // CTDB_OBS
 
 TEST(ShardedDatabaseTest, CheckpointFansOutToEveryShard) {
   const Universe universe = MakeUniverse(/*contracts=*/8, /*seed=*/0xcafe);
